@@ -47,8 +47,9 @@ class _AllReduceScheme(BroadcastScheme):
         hosts = group.hosts
         n = len(hosts)
         if n <= 1:
-            handle = self._handle(env, group, message_bytes, arrival_s)
-            return handle
+            return self._handle(
+                env, group, message_bytes, arrival_s, group.receiver_hosts
+            )
 
         shard = shard_bytes(message_bytes, n)
         chunk = nccl_chunk_bytes(shard, env.config.mtu_bytes)

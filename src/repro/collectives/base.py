@@ -178,13 +178,23 @@ class BroadcastScheme(ABC):
         """Create the transfers for one Broadcast; returns its handle."""
 
     def _handle(
-        self, env: "CollectiveEnv", group: Group, message_bytes: int, arrival_s: float
+        self,
+        env: "CollectiveEnv",
+        group: Group,
+        message_bytes: int,
+        arrival_s: float,
+        receivers: list[str],
     ) -> CollectiveHandle:
+        """The Broadcast's handle; ``receivers`` is ``group.receiver_hosts``,
+        which the caller sorts once and reuses for its own planning."""
         # An NVLink stage only exists when several GPUs share an endpoint;
         # in the per-GPU-NIC model (one GPU per host) delivery to the NIC
-        # *is* delivery to the GPU.
-        if len(group.members) > len(group.hosts):
+        # *is* delivery to the GPU.  The group's hosts are the receivers
+        # plus the source's own host.
+        if len(group.members) > len(receivers) + 1:
             nvlink_s = message_bytes / env.config.nvlink_bytes_per_s
         else:
             nvlink_s = 0.0
-        return CollectiveHandle(self.name, group, message_bytes, arrival_s, nvlink_s)
+        return CollectiveHandle(
+            self.name, group, message_bytes, arrival_s, nvlink_s, set(receivers)
+        )

@@ -79,8 +79,8 @@ class OptimalBroadcast(BroadcastScheme):
         message_bytes: int,
         arrival_s: float,
     ) -> CollectiveHandle:
-        handle = self._handle(env, group, message_bytes, arrival_s)
         receivers = group.receiver_hosts
+        handle = self._handle(env, group, message_bytes, arrival_s, receivers)
         if not receivers:
             return handle
         source = group.source.host
@@ -131,8 +131,8 @@ class PeelBroadcast(BroadcastScheme):
         message_bytes: int,
         arrival_s: float,
     ) -> CollectiveHandle:
-        handle = self._handle(env, group, message_bytes, arrival_s)
         receivers = group.receiver_hosts
+        handle = self._handle(env, group, message_bytes, arrival_s, receivers)
         if not receivers:
             return handle
         source = group.source.host

@@ -114,8 +114,8 @@ class OrcaBroadcast(BroadcastScheme):
         message_bytes: int,
         arrival_s: float,
     ) -> CollectiveHandle:
-        handle = self._handle(env, group, message_bytes, arrival_s)
         receivers = group.receiver_hosts
+        handle = self._handle(env, group, message_bytes, arrival_s, receivers)
         if not receivers:
             return handle
         source = group.source.host

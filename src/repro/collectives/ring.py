@@ -29,8 +29,9 @@ class RingBroadcast(BroadcastScheme):
         message_bytes: int,
         arrival_s: float,
     ) -> CollectiveHandle:
-        handle = self._handle(env, group, message_bytes, arrival_s)
-        chain = [group.source.host] + group.receiver_hosts
+        receivers = group.receiver_hosts
+        handle = self._handle(env, group, message_bytes, arrival_s, receivers)
+        chain = [group.source.host] + receivers
         if len(chain) == 1:
             return handle
 

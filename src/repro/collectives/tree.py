@@ -28,8 +28,9 @@ class BinaryTreeBroadcast(BroadcastScheme):
         message_bytes: int,
         arrival_s: float,
     ) -> CollectiveHandle:
-        handle = self._handle(env, group, message_bytes, arrival_s)
-        order = [group.source.host] + group.receiver_hosts
+        receivers = group.receiver_hosts
+        handle = self._handle(env, group, message_bytes, arrival_s, receivers)
+        order = [group.source.host] + receivers
         if len(order) == 1:
             return handle
 

@@ -10,13 +10,14 @@ preserving a layered, loop-free structure.  Approximation factor:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 import networkx as nx
 
 from ..steiner import MulticastTree, validate_tree
-from ..topology import Topology, hop_layers
+from ..topology import Topology
 from ..topology.addressing import NodeKind, kind_of
+from ..topology.layers import bfs_layers
 
 
 def layer_peeling_tree(
@@ -27,36 +28,42 @@ def layer_peeling_tree(
     Works on any connected graph, symmetric or not; destinations must be
     reachable.  Hosts never act as transit nodes (only the source, the
     destinations, and switches may join the tree).
+
+    One BFS gives the layers; each greedy pick then costs the degree sum of
+    the still-uncovered nodes, not a sort and scan of the whole layer.
+    Nothing derived from the graph outlives the call, since fabrics are
+    failed in place.
     """
     graph = topo.graph if isinstance(topo, Topology) else topo
     dests = [d for d in dict.fromkeys(destinations) if d != source]
     if not dests:
         return MulticastTree(source, {})
 
-    layers = hop_layers(graph, source)
-    depth = {node: j for j, layer in enumerate(layers) for node in layer}
+    layers, depth = bfs_layers(graph, source)
     for d in dests:
         if d not in depth:
             raise ValueError(f"destination {d!r} unreachable from {source!r}")
     farthest = max(depth[d] for d in dests)
 
+    adj = graph._adj
     in_tree: set[str] = {source, *dests}
     parent: dict[str, str] = {}
 
     for level in range(farthest - 1, -1, -1):
+        layer = layers[level]
         upper = [n for n in layers[level + 1] if n in in_tree]
         uncovered: set[str] = set()
         for node in upper:
-            existing = _neighbor_in(graph, node, layers[level], in_tree)
+            existing = _neighbor_in(adj[node], layer, in_tree)
             if existing is not None:
                 if node not in parent:
                     parent[node] = existing
             else:
                 uncovered.add(node)
         while uncovered:
-            best = _best_cover(graph, layers[level], uncovered)
+            best = _best_cover(adj, layer, uncovered)
             in_tree.add(best)
-            for node in sorted(uncovered & set(graph.neighbors(best))):
+            for node in sorted(uncovered.intersection(adj[best])):
                 parent[node] = best
                 uncovered.discard(node)
 
@@ -66,38 +73,37 @@ def layer_peeling_tree(
 
 
 def _neighbor_in(
-    graph: nx.Graph, node: str, layer: set[str], in_tree: set[str]
+    neighbors: Iterable[str], layer: set[str], in_tree: set[str]
 ) -> str | None:
     """Deterministically pick an already-in-tree neighbor on ``layer``."""
-    candidates = [v for v in graph.neighbors(node) if v in layer and v in in_tree]
+    candidates = [v for v in neighbors if v in layer and v in in_tree]
     return min(candidates) if candidates else None
 
 
-def _best_cover(graph: nx.Graph, layer: set[str], uncovered: set[str]) -> str:
+def _best_cover(adj: Mapping, layer: set[str], uncovered: set[str]) -> str:
     """Switch on ``layer`` adjacent to the most uncovered nodes (§2.3 step 4a).
 
     Ties break lexicographically for determinism.  Every uncovered node has a
     BFS parent on ``layer``, so a positive-coverage switch always exists.
+
+    Covers are counted from the uncovered side (adjacency is symmetric), so
+    only ``layer`` nodes with positive cover are ever looked at.
     """
-    best_node: str | None = None
-    best_cover = 0
-    for node in sorted(layer):
-        if kind_of(node) is NodeKind.HOST:
-            continue
-        cover = sum(1 for v in graph.neighbors(node) if v in uncovered)
-        if cover > best_cover:
-            best_node = node
-            best_cover = cover
-    if best_node is None:
-        # Uncovered nodes whose only lower-layer neighbors are hosts can only
-        # happen for the source's own layer-1 neighbors; the source covers
-        # them, but it sits on layer 0 and is not a switch.  Fall back to any
-        # host neighbor present in the layer (the source itself).
-        for node in sorted(layer):
-            if any(v in uncovered for v in graph.neighbors(node)):
-                return node
-        raise ValueError("no covering node found; layering invariant violated")
-    return best_node
+    cover: dict[str, int] = {}
+    for node in uncovered:
+        for v in adj[node]:
+            if v in layer:
+                cover[v] = cover.get(v, 0) + 1
+    switches = [v for v in cover if kind_of(v) is not NodeKind.HOST]
+    if switches:
+        return min(switches, key=lambda v: (-cover[v], v))
+    # Uncovered nodes whose only lower-layer neighbors are hosts can only
+    # happen for the source's own layer-1 neighbors; the source covers them,
+    # but it sits on layer 0 and is not a switch.  Fall back to the smallest
+    # host neighbor present in the layer (the source itself).
+    if cover:
+        return min(cover)
+    raise ValueError("no covering node found; layering invariant violated")
 
 
 def peeled_tree_bound(tree: MulticastTree, destinations: Iterable[str]) -> int:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from ..steiner import MulticastTree
 from ..topology import Topology
 
@@ -27,7 +25,7 @@ class UnicastRouter:
     def _distances_to(self, dst: str) -> dict[str, int]:
         cached = self._dist_to.get(dst)
         if cached is None:
-            cached = nx.single_source_shortest_path_length(self.topo.graph, dst)
+            cached = self.topo.distances_from(dst)
             self._dist_to[dst] = cached
         return cached
 

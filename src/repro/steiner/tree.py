@@ -36,16 +36,26 @@ class MulticastTree:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        for start in self.parent:
+        # Each walk stops at the first node already known to reach the root,
+        # so the whole check is linear; errors name the same first bad start
+        # node (and cycle node) as a full walk from every node would.
+        parent = self.parent
+        rooted = {self.root}
+        for start in parent:
+            if start in rooted:
+                continue
             seen = {start}
             node = start
-            while node in self.parent:
-                node = self.parent[node]
+            while node in parent:
+                node = parent[node]
+                if node in rooted:
+                    break
                 if node in seen:
                     raise ValueError(f"parent map contains a cycle through {node!r}")
                 seen.add(node)
-            if node != self.root:
+            else:
                 raise ValueError(f"node {start!r} is not connected to the root")
+            rooted |= seen
 
     # -- structure ----------------------------------------------------------
 

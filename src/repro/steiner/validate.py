@@ -32,8 +32,9 @@ def validate_tree(
     """
     if tree.root != source:
         raise InvalidTreeError(f"tree rooted at {tree.root!r}, expected {source!r}")
+    adj = graph._adj  # ``has_edge`` without a networkx call per tree edge
     for u, v in tree.edges:
-        if not graph.has_edge(u, v):
+        if v not in adj.get(u, ()):
             raise InvalidTreeError(f"tree uses non-existent link {u!r} -- {v!r}")
     nodes = tree.nodes
     missing = [d for d in destinations if d not in nodes]

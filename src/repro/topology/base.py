@@ -8,6 +8,7 @@ from collections.abc import Iterable
 import networkx as nx
 
 from .addressing import NodeKind, kind_of, parse, tier_rank
+from .layers import bfs_layers
 
 #: Default physical link speed used throughout the paper's evaluation (§4).
 DEFAULT_LINK_BPS = 100e9
@@ -110,7 +111,7 @@ class Topology:
 
     def distances_from(self, source: str) -> dict[str, int]:
         """Hop distance from ``source`` to every reachable node."""
-        return nx.single_source_shortest_path_length(self.graph, source)
+        return bfs_layers(self.graph, source)[1]
 
     def reachable(self, source: str, targets: Iterable[str]) -> bool:
         dist = self.distances_from(source)

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 
 from .base import Topology
 from .fattree import FatTree
+from .layers import bfs_layers
 from .leafspine import LeafSpine
 
 
@@ -35,11 +36,12 @@ def _fail_sample(
     order = list(candidates)
     rng.shuffle(order)
     failed: list[tuple[str, str]] = []
+    hosts = topo.hosts
     for u, v in order:
         if len(failed) == target:
             break
         topo.graph.remove_edge(u, v)
-        if keep_connected_hosts and not _hosts_connected(topo):
+        if keep_connected_hosts and not _hosts_connected(topo, hosts):
             topo.graph.add_edge(u, v, capacity_bps=topo.link_bps)
             continue
         topo.failed_links.append((u, v))
@@ -47,14 +49,11 @@ def _fail_sample(
     return failed
 
 
-def _hosts_connected(topo: Topology) -> bool:
-    import networkx as nx
-
-    hosts = topo.hosts
+def _hosts_connected(topo: Topology, hosts: list[str]) -> bool:
     if not hosts:
         return True
-    component = nx.node_connected_component(topo.graph, hosts[0])
-    return all(h in component for h in hosts)
+    reached = bfs_layers(topo.graph, hosts[0])[1]
+    return all(h in reached for h in hosts)
 
 
 def fail_random_uplinks(

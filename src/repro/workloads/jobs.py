@@ -10,7 +10,7 @@ from ..collectives import Group
 from ..topology import Topology
 from .arrivals import fixed_count_arrivals
 from .load import arrival_rate_for_load
-from .placement import DEFAULT_GPUS_PER_HOST, place_job
+from .placement import DEFAULT_GPUS_PER_HOST, _place_job, locality_ordered_hosts
 
 
 @dataclass(frozen=True)
@@ -43,24 +43,19 @@ def generate_jobs(
     if num_jobs < 1:
         raise ValueError("num_jobs must be >= 1")
     rng = random.Random(seed)
+    hosts = locality_ordered_hosts(topo)
     receiver_hosts = max(1, math.ceil(num_gpus / gpus_per_host) - 1)
     rate = arrival_rate_for_load(
         offered_load,
         message_bytes,
         receiver_hosts,
-        len(topo.hosts),
+        len(hosts),
         topo.link_bps,
     )
     times = fixed_count_arrivals(rate, num_jobs, rng)
     jobs = []
     for t in times:
-        group = place_job(
-            topo,
-            num_gpus,
-            gpus_per_host=gpus_per_host,
-            rng=rng,
-            fragmentation=fragmentation,
-        )
+        group = _place_job(hosts, num_gpus, gpus_per_host, rng, fragmentation)
         jobs.append(CollectiveJob(t, group, message_bytes))
     return jobs
 
@@ -98,6 +93,7 @@ def generate_tenant_jobs(
     """
     if not tenants:
         raise ValueError("need at least one tenant")
+    hosts = locality_ordered_hosts(topo)
     jobs: list[CollectiveJob] = []
     for index, spec in enumerate(tenants):
         # String seeding is deterministic (sha512-based), unlike str hash.
@@ -107,16 +103,12 @@ def generate_tenant_jobs(
             spec.offered_load,
             spec.message_bytes,
             receiver_hosts,
-            len(topo.hosts),
+            len(hosts),
             topo.link_bps,
         )
         for t in fixed_count_arrivals(rate, spec.num_jobs, rng):
-            group = place_job(
-                topo,
-                spec.num_gpus,
-                gpus_per_host=gpus_per_host,
-                rng=rng,
-                fragmentation=spec.fragmentation,
+            group = _place_job(
+                hosts, spec.num_gpus, gpus_per_host, rng, spec.fragmentation
             )
             jobs.append(CollectiveJob(t, group, spec.message_bytes, spec.name))
     jobs.sort(key=lambda j: j.arrival_s)

@@ -37,12 +37,26 @@ def place_job(
     probability to a random host elsewhere in the fabric, modelling
     scattered placements.
     """
+    return _place_job(
+        locality_ordered_hosts(topo), num_gpus, gpus_per_host, rng, fragmentation
+    )
+
+
+def _place_job(
+    hosts: list[str],
+    num_gpus: int,
+    gpus_per_host: int,
+    rng: random.Random | None,
+    fragmentation: float,
+) -> Group:
+    """:func:`place_job` over a precomputed :func:`locality_ordered_hosts`
+    list, so a workload generator sorts the fabric's hosts once, not once
+    per job."""
     if num_gpus < 1:
         raise ValueError("num_gpus must be >= 1")
     if not 0 <= fragmentation <= 1:
         raise ValueError("fragmentation must be in [0, 1]")
     rng = rng or random.Random(0)
-    hosts = locality_ordered_hosts(topo)
     hosts_needed = math.ceil(num_gpus / gpus_per_host)
     if hosts_needed > len(hosts):
         raise ValueError(
@@ -52,7 +66,8 @@ def place_job(
     chosen = hosts[start : start + hosts_needed]
 
     if fragmentation:
-        outside = [h for h in hosts if h not in set(chosen)]
+        taken = set(chosen)
+        outside = [h for h in hosts if h not in taken]
         rng.shuffle(outside)
         for i in range(len(chosen)):
             if outside and rng.random() < fragmentation:

@@ -26,12 +26,12 @@ class TestConstruction:
             MulticastTree("a", {"a": "b"})
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cycle through 'a'"):
             MulticastTree("r", {"a": "b", "b": "a"})
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            MulticastTree("r", {"a": "ghost"})
+        with pytest.raises(ValueError, match="node 'a' is not connected to the root"):
+            MulticastTree("r", {"x": "r", "a": "ghost"})
 
     def test_cost_is_edge_count(self):
         assert chain_tree().cost == 3

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from repro.topology import FatTree, LeafSpine
-from repro.workloads import locality_ordered_hosts, place_job
+from repro.workloads import (
+    CollectiveJob,
+    arrival_rate_for_load,
+    fixed_count_arrivals,
+    generate_jobs,
+    locality_ordered_hosts,
+    place_job,
+)
 
 
 class TestLocalityOrder:
@@ -74,3 +81,22 @@ class TestPlaceJob:
     def test_rejects_bad_fragmentation(self):
         with pytest.raises(ValueError):
             place_job(LeafSpine(2, 2, 2), 2, fragmentation=1.5)
+
+
+class TestGenerateJobs:
+    def test_same_jobs_as_per_job_placement(self):
+        """Sorting the hosts once per workload draws the same RNG values in
+        the same order as calling :func:`place_job` for every job."""
+        ft = FatTree(4, hosts_per_tor=2)
+        jobs = generate_jobs(ft, 20, 6, 1024, gpus_per_host=2, seed=3,
+                             fragmentation=0.5)
+        rng = random.Random(3)
+        rate = arrival_rate_for_load(0.3, 1024, 2, len(ft.hosts), ft.link_bps)
+        want = [
+            CollectiveJob(
+                t, place_job(ft, 6, gpus_per_host=2, rng=rng, fragmentation=0.5),
+                1024,
+            )
+            for t in fixed_count_arrivals(rate, 20, rng)
+        ]
+        assert jobs == want
